@@ -93,23 +93,13 @@ func main() {
 }
 
 func worldFor(cluster, placement string, p int, seed uint64) (*mpi.World, string, error) {
-	var spec topo.Spec
-	switch cluster {
-	case "quad":
-		spec = topo.QuadCluster()
-	case "hex":
-		spec = topo.HexCluster()
-	default:
-		return nil, "", fmt.Errorf("unknown cluster %q", cluster)
+	spec, err := topo.ClusterByName(cluster)
+	if err != nil {
+		return nil, "", err
 	}
-	var pl topo.Placement
-	switch placement {
-	case "round-robin":
-		pl = topo.RoundRobin{}
-	case "block":
-		pl = topo.Block{}
-	default:
-		return nil, "", fmt.Errorf("unknown placement %q", placement)
+	pl, err := topo.PlacementByName(placement)
+	if err != nil {
+		return nil, "", err
 	}
 	fab, err := fabric.New(spec, pl, p, fabric.GigEParams(seed))
 	if err != nil {

@@ -39,15 +39,12 @@ func main() {
 	cfg.Iters = *iters
 	cfg.Warmup = *warmup
 	cfg.Congestion = *congestion
-	switch *placement {
-	case "round-robin":
-		cfg.Placement = topo.RoundRobin{}
-	case "block":
-		cfg.Placement = topo.Block{}
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown placement %q\n", *placement)
+	pl, err := topo.PlacementByName(*placement)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
+	cfg.Placement = pl
 
 	want := map[string]bool{}
 	if *fig == "all" {

@@ -52,7 +52,7 @@ func main() {
 	if *p == 0 {
 		*p = spec.TotalCores()
 	}
-	pl, err := placementFor(*placement)
+	pl, err := topo.PlacementByName(*placement)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,28 +104,13 @@ func main() {
 	}
 }
 
+// specFor resolves -cluster: the shared cluster names plus "single", the
+// one-node machine of the Figure 9 profile.
 func specFor(name string) (topo.Spec, error) {
-	switch name {
-	case "quad":
-		return topo.QuadCluster(), nil
-	case "hex":
-		return topo.HexCluster(), nil
-	case "single":
+	if name == "single" {
 		return topo.SingleNode(2, 4, 2), nil
-	default:
-		return topo.Spec{}, fmt.Errorf("unknown cluster %q", name)
 	}
-}
-
-func placementFor(name string) (topo.Placement, error) {
-	switch name {
-	case "round-robin":
-		return topo.RoundRobin{}, nil
-	case "block":
-		return topo.Block{}, nil
-	default:
-		return nil, fmt.Errorf("unknown placement %q", name)
-	}
+	return topo.ClusterByName(name)
 }
 
 func fatal(err error) {

@@ -142,7 +142,7 @@ func main() {
 	}
 
 	if *netRun {
-		nodes, err := colocationNodes(*transport, *colocate, *cluster, *placement, *p)
+		nodes, err := netmpi.ColocationFromFlags(*transport, *colocate, *cluster, *placement, *p)
 		if err != nil {
 			fatal(err)
 		}
@@ -171,23 +171,13 @@ func main() {
 		fatal(fmt.Errorf("-retune closes the loop on a live mesh; it requires -net"))
 	}
 
-	var spec topo.Spec
-	switch *cluster {
-	case "quad":
-		spec = topo.QuadCluster()
-	case "hex":
-		spec = topo.HexCluster()
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *cluster))
+	spec, err := topo.ClusterByName(*cluster)
+	if err != nil {
+		fatal(err)
 	}
-	var pl topo.Placement
-	switch *placement {
-	case "round-robin":
-		pl = topo.RoundRobin{}
-	case "block":
-		pl = topo.Block{}
-	default:
-		fatal(fmt.Errorf("unknown placement %q", *placement))
+	pl, err := topo.PlacementByName(*placement)
+	if err != nil {
+		fatal(err)
 	}
 
 	fab, err := fabric.New(spec, pl, *p, fabric.GigEParams(*seed))
@@ -262,46 +252,6 @@ func resolve(alg string, p int) (string, run.Func, *sched.Schedule, error) {
 		return s.Name + " (compiled plan)", plan.Func(), &s, nil
 	}
 	return "", nil, nil, fmt.Errorf("unknown algorithm %q", alg)
-}
-
-// colocationNodes resolves the -transport/-colocate flags into a co-location
-// vector: nil for a pure-TCP mesh, a node-id vector for hybrid. With hybrid
-// and no explicit -colocate, the vector is derived from the named cluster
-// topology and placement — the ranks the simulator would put on one node
-// share shared memory on the live mesh too.
-func colocationNodes(transport, colocate, cluster, placement string, p int) ([]int, error) {
-	switch transport {
-	case "tcp":
-		if colocate != "" {
-			return nil, fmt.Errorf("-colocate needs -transport hybrid")
-		}
-		return nil, nil
-	case "hybrid":
-	default:
-		return nil, fmt.Errorf("unknown transport %q: want tcp or hybrid", transport)
-	}
-	if colocate != "" {
-		return netmpi.ParseColocation(colocate, p)
-	}
-	var spec topo.Spec
-	switch cluster {
-	case "quad":
-		spec = topo.QuadCluster()
-	case "hex":
-		spec = topo.HexCluster()
-	default:
-		return nil, fmt.Errorf("unknown cluster %q", cluster)
-	}
-	var pl topo.Placement
-	switch placement {
-	case "round-robin":
-		pl = topo.RoundRobin{}
-	case "block":
-		pl = topo.Block{}
-	default:
-		return nil, fmt.Errorf("unknown placement %q", placement)
-	}
-	return netmpi.NodesFromPlacement(spec, pl, p)
 }
 
 // retuneConfig carries the -retune knobs into runNet.

@@ -98,7 +98,7 @@ func main() {
 	flag.Parse()
 
 	if *netRun {
-		nodes, err := colocationNodes(*transport, *colocate, *cluster, *placement, *p)
+		nodes, err := netmpi.ColocationFromFlags(*transport, *colocate, *cluster, *placement, *p)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,23 +118,13 @@ func main() {
 		fatal(fmt.Errorf("-critical-path merges live mesh traces; it requires -net (the simulator prints its own measured path)"))
 	}
 
-	var spec topo.Spec
-	switch *cluster {
-	case "quad":
-		spec = topo.QuadCluster()
-	case "hex":
-		spec = topo.HexCluster()
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *cluster))
+	spec, err := topo.ClusterByName(*cluster)
+	if err != nil {
+		fatal(err)
 	}
-	var pl topo.Placement
-	switch *placement {
-	case "round-robin":
-		pl = topo.RoundRobin{}
-	case "block":
-		pl = topo.Block{}
-	default:
-		fatal(fmt.Errorf("unknown placement %q", *placement))
+	pl, err := topo.PlacementByName(*placement)
+	if err != nil {
+		fatal(err)
 	}
 	fab, err := fabric.New(spec, pl, *p, fabric.GigEParams(*seed))
 	if err != nil {
@@ -219,46 +209,6 @@ func meshBanner(peers []*netmpi.Peer, p int, nodes []int) string {
 	}
 	return fmt.Sprintf("hybrid mesh up: %d ranks, %d shm links + %d tcp connections (%s)",
 		p, shm, p*(p-1)/2-shm, peers[0].TransportSignature())
-}
-
-// colocationNodes resolves the -transport/-colocate flags into a co-location
-// vector: nil for a pure-TCP mesh, a node-id vector for hybrid. With hybrid
-// and no explicit -colocate, the vector is derived from the named cluster
-// topology and placement — the ranks the simulator would put on one node
-// share shared memory on the live mesh too.
-func colocationNodes(transport, colocate, cluster, placement string, p int) ([]int, error) {
-	switch transport {
-	case "tcp":
-		if colocate != "" {
-			return nil, fmt.Errorf("-colocate needs -transport hybrid")
-		}
-		return nil, nil
-	case "hybrid":
-	default:
-		return nil, fmt.Errorf("unknown transport %q: want tcp or hybrid", transport)
-	}
-	if colocate != "" {
-		return netmpi.ParseColocation(colocate, p)
-	}
-	var spec topo.Spec
-	switch cluster {
-	case "quad":
-		spec = topo.QuadCluster()
-	case "hex":
-		spec = topo.HexCluster()
-	default:
-		return nil, fmt.Errorf("unknown cluster %q", cluster)
-	}
-	var pl topo.Placement
-	switch placement {
-	case "round-robin":
-		pl = topo.RoundRobin{}
-	case "block":
-		pl = topo.Block{}
-	default:
-		return nil, fmt.Errorf("unknown placement %q", placement)
-	}
-	return netmpi.NodesFromPlacement(spec, pl, p)
 }
 
 // runNetDrift is the real-transport §VI validation: probe → predict →

@@ -162,9 +162,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("platform: %s (P=%d)\n", pf.Platform, pf.P)
-	fmt.Printf("clusters: %s\n\n", tuned.Tree)
+	// The summary comes first: at large P the one-line cluster tree runs to
+	// kilobytes and would bury it.
+	fmt.Printf("platform: %s (P=%d)\n\n", pf.Platform, pf.P)
 	fmt.Print(tuned.Result.Describe())
+	fmt.Printf("\nclusters: %s\n", tuned.Tree)
 	if *dump {
 		fmt.Println()
 		fmt.Print(tuned.Schedule().String())

@@ -8,52 +8,87 @@ import (
 	"topobarrier/internal/stats"
 )
 
-// TestClosureCheckerTransposedMatchesDense drives both closure orientations
-// over random fault sets of a P=64 schedule (at the transposed threshold) and
-// requires identical verdicts, lateness observations, and witness pairs.
+// TestClosureCheckerTransposedMatchesDense drives the receiver-wise closure
+// checker over random fault sets, below and at the 64-bit word boundary, and
+// requires verdicts, lateness observations and witness pairs identical to
+// the row-major reference recurrence (denseSurvivorClosure).
 func TestClosureCheckerTransposedMatchesDense(t *testing.T) {
-	p := transposedClosureMinP
-	s := sched.Dissemination(p)
-	// Thin the pattern so some fault sets actually break the closure.
-	s.Stages[1].Set(1, 3, false)
-	ct := newClosureChecker(s)
-	cd := newClosureChecker(s)
-	cd.transposed = false
-	if !ct.transposed {
-		t.Fatalf("P=%d checker should run transposed", p)
-	}
-	rng := stats.NewRNG(31)
-	for trial := 0; trial < 200; trial++ {
-		m := 1 + rng.Intn(3)
-		faults := make([]int, 0, m)
-		seen := map[int]bool{}
-		for len(faults) < m {
-			f := rng.Intn(p)
-			if !seen[f] {
-				seen[f] = true
-				faults = append(faults, f)
+	for _, p := range []int{16, 64} {
+		s := sched.Dissemination(p)
+		// Thin the pattern so some fault sets actually break the closure.
+		s.Stages[1].Set(1, 3, false)
+		c := newClosureChecker(s)
+		rng := stats.NewRNG(31)
+		broken := 0
+		for trial := 0; trial < 200; trial++ {
+			m := 1 + rng.Intn(3)
+			faults := make([]int, 0, m)
+			seen := map[int]bool{}
+			for len(faults) < m {
+				f := rng.Intn(p)
+				if !seen[f] {
+					seen[f] = true
+					faults = append(faults, f)
+				}
 			}
-		}
-		okT, lastT := ct.closed(faults)
-		okD, lastD := cd.closed(faults)
-		if okT != okD || lastT != lastD {
-			t.Fatalf("faults %v: transposed (%v, %d) vs dense (%v, %d)", faults, okT, lastT, okD, lastD)
-		}
-		if !okT {
-			pt := ct.stalledPairs(faults, 8)
-			// Re-establish dense state (closed swaps scratch matrices).
-			cd.closed(faults)
-			pd := cd.stalledPairs(faults, 8)
+			okT, lastT := c.closed(faults)
+			okD, lastD, pd := denseSurvivorClosure(s, faults, 8)
+			if okT != okD || lastT != lastD {
+				t.Fatalf("P=%d faults %v: transposed (%v, %d) vs dense (%v, %d)", p, faults, okT, lastT, okD, lastD)
+			}
+			if okT {
+				continue
+			}
+			broken++
+			pt := c.stalledPairs(faults, 8)
 			if len(pt) != len(pd) {
-				t.Fatalf("faults %v: %d vs %d stalled pairs", faults, len(pt), len(pd))
+				t.Fatalf("P=%d faults %v: %d vs %d stalled pairs", p, faults, len(pt), len(pd))
 			}
 			for i := range pt {
 				if pt[i] != pd[i] {
-					t.Fatalf("faults %v: witness %d differs: %v vs %v", faults, i, pt[i], pd[i])
+					t.Fatalf("P=%d faults %v: witness %d differs: %v vs %v", p, faults, i, pt[i], pd[i])
 				}
 			}
 		}
+		if broken == 0 {
+			t.Fatalf("P=%d: no fault set broke the closure; the witness path went untested", p)
+		}
 	}
+}
+
+// denseSurvivorClosure is the row-major reference for closureChecker: the
+// mat.PropagateSilencedInto recurrence with the same monotone early exit,
+// returning the verdict, the last incomplete stage and up to max stalled
+// survivor pairs in row-major order.
+func denseSurvivorClosure(s *sched.Schedule, faults []int, max int) (bool, int, []Pair) {
+	silent := make([]uint64, (s.P+63)/64)
+	for _, f := range faults {
+		silent[f/64] |= 1 << (uint(f) % 64)
+	}
+	isSilent := func(i int) bool { return silent[i/64]&(1<<(uint(i)%64)) != 0 }
+	k, next := mat.Identity(s.P), mat.NewBool(s.P)
+	last := -1
+	for a, st := range s.Stages {
+		mat.PropagateSilencedInto(next, k, st, silent)
+		k, next = next, k
+		closed := true
+		for i := 0; i < s.P && closed; i++ {
+			closed = isSilent(i) || k.RowCoversAllExcept(i, silent)
+		}
+		if closed {
+			return true, last, nil
+		}
+		last = a
+	}
+	var pairs []Pair
+	for i := 0; i < s.P && len(pairs) < max; i++ {
+		for j := 0; j < s.P && len(pairs) < max; j++ {
+			if !isSilent(i) && !isSilent(j) && !k.At(i, j) {
+				pairs = append(pairs, Pair{From: i, To: j})
+			}
+		}
+	}
+	return false, last, pairs
 }
 
 // TestArticulationTwoBFSMatchesAllPairs pins the 2-BFS strong-connectivity

@@ -137,41 +137,6 @@ func (m *Bool) OrRowInto(i int, dst []uint64) {
 	}
 }
 
-// SpreadRow computes dst = src | OR_{b set in src} row b of m, where src and
-// dst are row bitsets of m's dimension (WordsPerRow words each) and dst does
-// not alias src. It is one row of the knowledge recurrence K + K·S — the
-// whole inner loop of the incremental evaluator — done with direct storage
-// access instead of per-bit accessor calls.
-func (m *Bool) SpreadRow(src, dst []uint64) {
-	if len(src) != m.words || len(dst) != m.words {
-		panic(fmt.Sprintf("mat: SpreadRow rows have %d/%d words, want %d", len(src), len(dst), m.words))
-	}
-	if m.words == 1 {
-		word := src[0]
-		acc := word
-		for word != 0 {
-			b := trailingZeros(word)
-			word &^= 1 << uint(b)
-			acc |= m.rows[b]
-		}
-		dst[0] = acc
-		return
-	}
-	copy(dst, src)
-	for w := 0; w < m.words; w++ {
-		word := src[w]
-		for word != 0 {
-			b := trailingZeros(word)
-			word &^= 1 << uint(b)
-			base := (w*wordBits + b) * m.words
-			row := m.rows[base : base+m.words]
-			for x := range dst {
-				dst[x] |= row[x]
-			}
-		}
-	}
-}
-
 // WordsPerRow returns the number of uint64 words backing each row.
 func (m *Bool) WordsPerRow() int { return m.words }
 
@@ -181,24 +146,6 @@ func (m *Bool) WordsPerRow() int { return m.words }
 // slice aliases matrix storage and writes through it must respect the padding
 // bits (kept zero) past column N-1 in each row's last word.
 func (m *Bool) Words() []uint64 { return m.rows }
-
-// OrColInto sets bit i of dst for every row i whose entry (i, j) is set; dst
-// is a bitset over row indices with at least (N+63)/64 words. It is the
-// column-scan of the incremental knowledge recurrence (which rows spread
-// along signal j) without per-entry accessor calls.
-func (m *Bool) OrColInto(j int, dst []uint64) {
-	m.check(0, j)
-	if len(dst) < (m.n+wordBits-1)/wordBits {
-		panic(fmt.Sprintf("mat: OrColInto dst has %d words for %d rows", len(dst), m.n))
-	}
-	w := j / wordBits
-	bit := uint64(1) << (uint(j) % wordBits)
-	for i := 0; i < m.n; i++ {
-		if m.rows[i*m.words+w]&bit != 0 {
-			dst[i/wordBits] |= 1 << (uint(i) % wordBits)
-		}
-	}
-}
 
 // CopyFrom overwrites m with the entries of o (same dimension required)
 // without allocating.

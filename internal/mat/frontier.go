@@ -2,7 +2,9 @@ package mat
 
 import "fmt"
 
-// This file holds the large-P fast path for the Eq. 3 knowledge recurrence.
+// This file holds the fast path for the Eq. 3 knowledge recurrence, used at
+// every P. The row-major kernels in bool.go (Propagate, PropagateInto,
+// PropagateSilencedInto) stay as the reference it is tested against.
 //
 // The dense kernels in bool.go walk knowledge row-wise: spreading row i of K
 // costs one row union per set bit, so a closure over a saturating schedule is

@@ -192,6 +192,40 @@ func TestReaderHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
+// TestOversizedFrameFailsLink writes a frame header announcing a payload
+// over the frame limit onto a live connection. The reader must latch a
+// failure naming the link instead of allocating the announced size and
+// waiting for bytes that never come, and Send must refuse such a payload
+// up front without poisoning the sender.
+func TestOversizedFrameFailsLink(t *testing.T) {
+	peers := mesh(t, 2)
+	if err := peers[0].Send(1, 1, make([]byte, maxFramePayload+1)); err == nil ||
+		!strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("oversized Send = %v, want a frame-limit error", err)
+	}
+	if err := peers[0].Err(); err != nil {
+		t.Fatalf("refused Send poisoned the sender: %v", err)
+	}
+	var hdr [headerBytes]byte
+	binary.BigEndian.PutUint32(hdr[:4], 1)
+	binary.BigEndian.PutUint32(hdr[4:], maxFramePayload+1)
+	if _, err := peers[0].conns[1].Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	_, err := peers[1].Recv(0, 1, meshTimeout)
+	if err == nil {
+		t.Fatal("Recv succeeded after an oversized frame header")
+	}
+	for _, want := range []string{"tcp link to rank 0", "limit"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	if peers[1].LinkErr(0) == nil {
+		t.Fatal("oversized frame did not latch a link error")
+	}
+}
+
 // TestKilledPeerMidBarrierFailsFast is the end-to-end acceptance test:
 // killing one rank mid-barrier makes every surviving rank's Barrier return
 // an error by failure propagation — far faster than the receive deadline —

@@ -214,6 +214,12 @@ func (b *mailbox) take() ([]byte, bool) {
 // frame header: src (handshake only), tag, payload length.
 const headerBytes = 8
 
+// maxFramePayload bounds one message's payload. The largest frames the
+// repository sends are the 8-byte epoch control versions; barrier and probe
+// traffic carries none. A reader trusts no length header past this bound, so
+// a corrupt or hostile peer cannot make it allocate up to 4 GiB.
+const maxFramePayload = 1 << 16
+
 // Dial retry/backoff bounds for the listener-startup race: the first retry
 // waits dialBackoffMin, each subsequent one doubles, capped at
 // dialBackoffMax, all bounded by the overall formation timeout.
@@ -456,6 +462,10 @@ func (p *Peer) reader(src int, conn net.Conn) {
 		}
 		tag := int(int32(binary.BigEndian.Uint32(hdr[:4])))
 		n := int(binary.BigEndian.Uint32(hdr[4:]))
+		if n > maxFramePayload {
+			p.fail(src, fmt.Errorf("frame header announces a %d-byte payload, over the %d-byte limit", n, maxFramePayload))
+			return
+		}
 		var payload []byte
 		if n > 0 {
 			payload = make([]byte, n)
@@ -536,10 +546,14 @@ func (p *Peer) box(src, tag int) *mailbox {
 // ring. The caller keeps ownership of payload on both transports (the shm
 // path copies non-empty payloads for that reason). A failed or closed peer
 // refuses further sends with its latched error, propagating the failure to
-// senders as fast as to receivers.
+// senders as fast as to receivers. Payloads over maxFramePayload are
+// refused.
 func (p *Peer) Send(dst, tag int, payload []byte) error {
 	if dst < 0 || dst >= p.size || dst == p.rank {
 		return fmt.Errorf("netmpi: rank %d sending to invalid rank %d", p.rank, dst)
+	}
+	if len(payload) > maxFramePayload {
+		return fmt.Errorf("netmpi: rank %d sending %d bytes to %d: over the %d-byte frame limit", p.rank, len(payload), dst, maxFramePayload)
 	}
 	p.mu.Lock()
 	err, closed := p.errVal, p.closed

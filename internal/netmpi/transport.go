@@ -68,6 +68,37 @@ func NodesFromPlacement(spec topo.Spec, pl topo.Placement, p int) ([]int, error)
 	return nodes, nil
 }
 
+// ColocationFromFlags resolves the -transport/-colocate command-line flags
+// into a co-location vector: nil for a pure-TCP mesh, a node-id vector for
+// hybrid. With hybrid and no explicit colocate spec, the vector is derived
+// from the named cluster and placement (topo.ClusterByName,
+// topo.PlacementByName) — the ranks the simulator would put on one node
+// share shared memory on the live mesh too.
+func ColocationFromFlags(transport, colocate, cluster, placement string, p int) ([]int, error) {
+	switch transport {
+	case "tcp":
+		if colocate != "" {
+			return nil, fmt.Errorf("-colocate needs -transport hybrid")
+		}
+		return nil, nil
+	case "hybrid":
+	default:
+		return nil, fmt.Errorf("unknown transport %q: want tcp or hybrid", transport)
+	}
+	if colocate != "" {
+		return ParseColocation(colocate, p)
+	}
+	spec, err := topo.ClusterByName(cluster)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := topo.PlacementByName(placement)
+	if err != nil {
+		return nil, err
+	}
+	return NodesFromPlacement(spec, pl, p)
+}
+
 // ParseColocation decodes a CLI co-location spec into a node-id vector of
 // length p. Two forms are accepted:
 //

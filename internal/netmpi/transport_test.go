@@ -69,6 +69,37 @@ func TestParseColocation(t *testing.T) {
 	}
 }
 
+// TestColocationFromFlags covers the flag resolution the live-mesh commands
+// share: pure TCP, an explicit spec, the cluster/placement default, and the
+// error texts of each bad combination.
+func TestColocationFromFlags(t *testing.T) {
+	if nodes, err := ColocationFromFlags("tcp", "", "quad", "block", 8); err != nil || nodes != nil {
+		t.Fatalf("tcp = %v, %v; want nil, nil", nodes, err)
+	}
+	if nodes, err := ColocationFromFlags("hybrid", "nodes=2", "quad", "block", 4); err != nil ||
+		!reflect.DeepEqual(nodes, []int{0, 0, 1, 1}) {
+		t.Fatalf("hybrid nodes=2 = %v, %v", nodes, err)
+	}
+	// Block placement fills one 8-core quad node before the next.
+	want := []int{0, 0, 0, 0, 0, 0, 0, 0, 1, 1}
+	if nodes, err := ColocationFromFlags("hybrid", "", "quad", "block", 10); err != nil ||
+		!reflect.DeepEqual(nodes, want) {
+		t.Fatalf("hybrid quad/block = %v, %v; want %v", nodes, err, want)
+	}
+	for _, c := range []struct{ transport, colocate, cluster, placement, want string }{
+		{"tcp", "nodes=2", "quad", "block", "-colocate needs -transport hybrid"},
+		{"udp", "", "quad", "block", `unknown transport "udp": want tcp or hybrid`},
+		{"hybrid", "", "octo", "block", `unknown cluster "octo"`},
+		{"hybrid", "", "quad", "scatter", `unknown placement "scatter"`},
+	} {
+		_, err := ColocationFromFlags(c.transport, c.colocate, c.cluster, c.placement, 8)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("ColocationFromFlags(%q, %q, %q, %q) error = %v, want %q",
+				c.transport, c.colocate, c.cluster, c.placement, err, c.want)
+		}
+	}
+}
+
 func TestTransportSignature(t *testing.T) {
 	cases := []struct {
 		nodes []int

@@ -5,7 +5,9 @@
 // next step begins.
 //
 // The package provides the representation itself, the Eq. 3 verification that
-// a sequence globally synchronises, the three component algorithms of the
+// a sequence globally synchronises — one-shot through Schedule.IsBarrier,
+// incremental under in-place mutation through FrontierKnowledgeCache, one
+// engine at every rank count — the three component algorithms of the
 // paper (linear, dissemination, binary tree) plus extension components, and
 // the structural transformations the adaptive composer needs: transposed
 // reversal for departure phases, lifting local patterns into the global rank
@@ -96,19 +98,12 @@ func (s *Schedule) Knowledge() []*mat.Bool {
 }
 
 // IsBarrier reports whether the signal pattern globally synchronises: every
-// element of the final knowledge matrix must be non-zero (Eq. 3). At or
-// above the frontier threshold the verdict comes from the receiver-wise
-// sparse closure — bit-identical to the dense recurrence (the frontier
-// property tests pin this) at a fraction of the cost.
+// element of the final knowledge matrix must be non-zero (Eq. 3). The
+// verdict comes from the receiver-wise sparse closure, mat.FrontierClosure —
+// bit-identical to the Knowledge recurrence (the mat property tests pin
+// this) at a fraction of its cost.
 func (s *Schedule) IsBarrier() bool {
-	if s.P >= frontierMinP {
-		return mat.FrontierClosure(s.P, s.Stages)
-	}
-	k := mat.Identity(s.P)
-	for _, st := range s.Stages {
-		k = mat.Propagate(k, st)
-	}
-	return k.AllSet()
+	return mat.FrontierClosure(s.P, s.Stages)
 }
 
 // SignalCount returns the total number of point-to-point signals.

@@ -14,7 +14,7 @@ import (
 // Schedule.Clone, a from-scratch Eq. 3 recurrence, and a from-scratch
 // critical-path pass for every mutant. Here a single working schedule is
 // mutated in place with apply/undo deltas; the Eq. 3 verdict comes from a
-// prefix-reusable sched.KnowledgeCache, the cost from an incremental
+// prefix-reusable sched.FrontierKnowledgeCache, the cost from an incremental
 // predict.Evaluator, and revisited candidates are answered from a
 // transposition table keyed by an incrementally maintained Zobrist hash —
 // they are never re-scored at all.
@@ -125,7 +125,7 @@ type climber struct {
 	z         *zobrist
 	rng       *stats.RNG
 	s         *sched.Schedule
-	kc        sched.KnowledgeCache
+	kc        *sched.FrontierKnowledgeCache
 	ev        *predict.Evaluator
 	hash      uint64
 	cost      float64
@@ -146,18 +146,12 @@ type climber struct {
 	spare *mat.Bool
 }
 
-func newClimber(pd *predict.Predictor, z *zobrist, seedSched *sched.Schedule, seedCost float64, rng *stats.RNG, maxStages int, prop *proposer, batch int, denseKnowledge bool) *climber {
+func newClimber(pd *predict.Predictor, z *zobrist, seedSched *sched.Schedule, seedCost float64, rng *stats.RNG, maxStages int, prop *proposer, batch int) *climber {
 	s := seedSched.Clone()
 	h := z.hashOf(s)
-	kc := sched.KnowledgeCache(nil)
-	if denseKnowledge {
-		kc = sched.NewDenseKnowledgeCache(s.P)
-	} else {
-		kc = sched.NewKnowledgeCache(s.P)
-	}
 	c := &climber{
 		pd: pd, z: z, rng: rng, s: s,
-		kc:        kc,
+		kc:        sched.NewFrontierKnowledgeCache(s.P),
 		ev:        predict.NewEvaluator(pd),
 		hash:      h,
 		cost:      seedCost,
@@ -227,9 +221,14 @@ func (c *climber) step() {
 // cluster-pruned proposals at large P pay off. Every candidate is undone
 // before the next is drawn, so all b draws see the identical base schedule.
 // The winning re-apply needs no fresh Barrier: its change notes stay armed in
-// the knowledge cache, exactly as for transposition-answered accepts, and the
-// next evaluated candidate replays them.
+// the knowledge cache and the next batch's opening commit replays them.
 func (c *climber) stepBatch(b int) {
+	// Commit the base state first. Every candidate below is rolled back to
+	// the knowledge state before its own Barrier; without this call that
+	// state would be whatever the last committed evaluation left — at worst
+	// the empty cache — and each candidate would replay the previous
+	// winner's notes, or rebuild every stage, instead of its own wave.
+	c.kc.Barrier(c.s)
 	var bestM mutation
 	bestCost := math.Inf(1)
 	found := false

@@ -14,6 +14,19 @@ type Placement interface {
 	Assign(spec Spec, p int) ([]int, error)
 }
 
+// PlacementByName resolves a command-line placement name: "round-robin" or
+// "block".
+func PlacementByName(name string) (Placement, error) {
+	switch name {
+	case "round-robin":
+		return RoundRobin{}, nil
+	case "block":
+		return Block{}, nil
+	default:
+		return nil, fmt.Errorf("unknown placement %q", name)
+	}
+}
+
 // checkAssignment validates an assignment produced by a Placement.
 func checkAssignment(spec Spec, p int, cores []int) error {
 	if len(cores) != p {

@@ -147,6 +147,19 @@ func HexCluster() Spec {
 	return Spec{Name: "10x dual hex-core Opteron 2431", Nodes: 10, SocketsPerNode: 2, CoresPerSocket: 6, CacheGroup: 0}
 }
 
+// ClusterByName resolves a command-line cluster name: "quad" for
+// QuadCluster, "hex" for HexCluster.
+func ClusterByName(name string) (Spec, error) {
+	switch name {
+	case "quad":
+		return QuadCluster(), nil
+	case "hex":
+		return HexCluster(), nil
+	default:
+		return Spec{}, fmt.Errorf("unknown cluster %q", name)
+	}
+}
+
 // SingleNode returns a one-node machine with the given socket/core shape,
 // used for the Figure 9 single-node profile.
 func SingleNode(sockets, cores, cacheGroup int) Spec {

@@ -292,3 +292,23 @@ func TestRoundRobinRejectsInvalidSpec(t *testing.T) {
 		t.Fatalf("oversubscription accepted")
 	}
 }
+
+func TestByName(t *testing.T) {
+	if s, err := ClusterByName("quad"); err != nil || s != QuadCluster() {
+		t.Fatalf("ClusterByName(quad) = %v, %v", s, err)
+	}
+	if s, err := ClusterByName("hex"); err != nil || s != HexCluster() {
+		t.Fatalf("ClusterByName(hex) = %v, %v", s, err)
+	}
+	if _, err := ClusterByName("octo"); err == nil || err.Error() != `unknown cluster "octo"` {
+		t.Fatalf("ClusterByName(octo) error = %v", err)
+	}
+	for _, name := range []string{"round-robin", "block"} {
+		if pl, err := PlacementByName(name); err != nil || pl.Name() != name {
+			t.Fatalf("PlacementByName(%s) = %v, %v", name, pl, err)
+		}
+	}
+	if _, err := PlacementByName("scatter"); err == nil || err.Error() != `unknown placement "scatter"` {
+		t.Fatalf("PlacementByName(scatter) error = %v", err)
+	}
+}

@@ -1,8 +1,8 @@
-// Large-P scaling benchmarks: the Eq. 3 closure kernels (dense cube vs the
-// sparse-frontier engine) at P = 128/256/1024, and end-to-end mutation
-// throughput of the cluster-pruned batched search at the same rank counts.
-// The acceptance bar for the PR that introduced the frontier engine is a ≥5×
-// mutation-throughput advantage over the dense path at P = 256, pinned by
+// Large-P scaling benchmarks: the Eq. 3 closure kernels (the mat.Propagate
+// cube vs the sparse-frontier closure) at P = 128/256/1024, and end-to-end
+// mutation throughput of the cluster-pruned batched search at the same rank
+// counts. The acceptance bar is a ≥10× mutation-throughput advantage over
+// the from-scratch evaluator at P = 256, pinned by
 // TestLargePSearchSpeedupFloor.
 package topobarrier_test
 
@@ -18,6 +18,7 @@ import (
 	"topobarrier/internal/sched"
 	"topobarrier/internal/search"
 	"topobarrier/internal/sss"
+	"topobarrier/internal/stats"
 )
 
 // scaleProfile builds the noise-free profile of the synthetic hierarchical
@@ -128,12 +129,33 @@ func annealThroughput(t *testing.T, pd *predict.Predictor, seed *sched.Schedule,
 	return best
 }
 
-// TestLargePSearchSpeedupFloor pins the PR's acceptance bar: at P = 256 the
-// sparse-frontier engine must evaluate mutations at least 5× faster than the
-// dense-cube engine it replaced on the hot path (2× under the race detector,
-// whose per-word instrumentation compresses the gap). The two engines are
-// bit-identical — TestAnnealDenseKnowledgeAblationIdentical pins that — so
-// the DenseKnowledge ablation knob isolates exactly the kernel swap.
+// scratchThroughput measures the from-scratch evaluator (scratchEvaluate) in
+// candidates per second over n mutants of seed, best of three runs.
+func scratchThroughput(t *testing.T, pd *predict.Predictor, seed *sched.Schedule, n int) float64 {
+	t.Helper()
+	best := 0.0
+	for trial := 0; trial < 3; trial++ {
+		rng := stats.NewRNG(1)
+		sink := 0.0
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			sink += scratchEvaluate(pd, seed, rng)
+		}
+		if tp := float64(n) / time.Since(start).Seconds(); tp > best {
+			best = tp
+		}
+		_ = sink
+	}
+	return best
+}
+
+// TestLargePSearchSpeedupFloor pins the large-P acceptance bar: at P = 256
+// the incremental search engine must evaluate mutations at least 10× faster
+// than the from-scratch evaluator (clone, mat.Propagate recurrence, cost
+// pass) — 3× under the race detector, whose per-word instrumentation
+// compresses the gap. The floors were carried over from the earlier bar of
+// 5× (2×) over the row-major incremental engine, which ran at about 2.0×
+// (1.3× under -race) the from-scratch evaluator on this workload.
 func TestLargePSearchSpeedupFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing floor in -short mode")
@@ -142,30 +164,22 @@ func TestLargePSearchSpeedupFloor(t *testing.T) {
 	pf := scaleProfile(t, p)
 	pd := predict.New(pf)
 	seed := sched.Dissemination(p)
-	clusters := scaleClusters(pf)
-
-	base := search.AnnealOptions{
-		Seed: 11, Restarts: 1, Workers: 1,
-		Clusters: clusters, BatchSize: 8,
+	opts := search.AnnealOptions{
+		Seed: 11, Restarts: 1, Workers: 1, Steps: 2000,
+		Clusters: scaleClusters(pf), BatchSize: 8,
 	}
-	// The dense engine gets a smaller budget so the measurement stays cheap;
-	// throughput is per-candidate, so the budgets need not match.
-	dense := base
-	dense.Steps = 120
-	dense.DenseKnowledge = true
-	frontier := base
-	frontier.Steps = 2000
-
-	denseTP := annealThroughput(t, pd, seed, dense)
-	frontierTP := annealThroughput(t, pd, seed, frontier)
-	ratio := frontierTP / denseTP
-	floor := 5.0
+	// The from-scratch evaluator gets a smaller budget so the measurement
+	// stays cheap; throughput is per candidate, so the budgets need not match.
+	scratchTP := scratchThroughput(t, pd, seed, 150)
+	engineTP := annealThroughput(t, pd, seed, opts)
+	ratio := engineTP / scratchTP
+	floor := 10.0
 	if scaleRaceEnabled {
-		floor = 2.0
+		floor = 3.0
 	}
-	t.Logf("P=%d mutation throughput: frontier %.0f/s vs dense %.0f/s (%.1f×, floor %.0f×)",
-		p, frontierTP, denseTP, ratio, floor)
+	t.Logf("P=%d mutation throughput: engine %.0f/s vs scratch %.0f/s (%.1f×, floor %.0f×)",
+		p, engineTP, scratchTP, ratio, floor)
 	if ratio < floor {
-		t.Fatalf("frontier/dense throughput ratio %.2f below the %.0f× floor", ratio, floor)
+		t.Fatalf("engine/scratch throughput ratio %.2f below the %.0f× floor", ratio, floor)
 	}
 }

@@ -40,6 +40,10 @@ func TestTuneSyntheticLargeP(t *testing.T) {
 	if want := fmt.Sprintf("(P=%d)", scaleTestP); !strings.Contains(text, want) {
 		t.Fatalf("tunebarrier output lacks %q:\n%s", want, text[:min(len(text), 800)])
 	}
+	// The composed summary must lead; the kilobytes-long cluster tree trails.
+	if sum, tree := strings.Index(text, "hybrid over"), strings.Index(text, "clusters:"); sum < 0 || tree < sum {
+		t.Fatalf("tunebarrier summary does not precede the cluster tree:\n%s", text[:min(len(text), 800)])
+	}
 	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
