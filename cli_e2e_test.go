@@ -328,10 +328,27 @@ func TestCLITraceBarrier(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool unavailable")
 	}
-	out := runCmd(t, "./cmd/tracebarrier", "-p", "8", "-alg", "dissemination", "-width", "60")
-	for _, want := range []string{"messages", "critical path", "slowest links"} {
+	traceFile := filepath.Join(t.TempDir(), "trace.json")
+	out := runCmd(t, "./cmd/tracebarrier", "-p", "8", "-alg", "dissemination", "-trace-out", traceFile)
+	for _, want := range []string{"messages", "critical path", "per-link blame"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("tracebarrier output missing %q:\n%s", want, out)
 		}
+	}
+	data, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace artifact is not valid JSON: %v", err)
+	}
+	// Dissemination(8) delivers 3·8 signals, each a send and a recv span.
+	if len(doc.TraceEvents) != 48 || doc.TraceEvents[0].Name != "barrier.send:sim" {
+		t.Fatalf("simulator trace has %d events, want 48 sim spans", len(doc.TraceEvents))
 	}
 }

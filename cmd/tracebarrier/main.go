@@ -1,7 +1,9 @@
 // Command tracebarrier records the message-level execution of one barrier on
-// a simulated cluster and prints a per-rank Gantt timeline, the measured
-// critical path, and per-link latency statistics — the §VI validation story
-// at single-message granularity.
+// a simulated cluster, merges it into one timeline (internal/critpath) and
+// prints the realized critical path, the model's predicted chain for schedule
+// algorithms, and the per-link blame table — the §VI validation story at
+// single-message granularity. -trace-out writes the timeline as Chrome
+// trace-event JSON.
 //
 // With -net it validates against the *real* transport instead of the
 // simulator: it forms a loopback TCP mesh (internal/netmpi), probes the
@@ -9,13 +11,14 @@
 // completion times from that profile, executes the barrier with per-stage
 // span tracing, and prints a predicted-vs-observed drift table — the §VI
 // comparison closed against an actual network execution. -trace-out
-// additionally writes the traced execution as Chrome trace-event JSON for
-// chrome://tracing or Perfetto.
+// writes the traced execution as Chrome trace-event JSON for
+// chrome://tracing or Perfetto in either mode.
 //
 // Usage:
 //
 //	tracebarrier -cluster quad|hex -p N [-placement round-robin|block]
-//	             [-alg tree|linear|dissemination|mpi|hybrid] [-seed N] [-width N]
+//	             [-alg tree|linear|dissemination|mpi|hybrid] [-seed N]
+//	             [-trace-out file.json]
 //	tracebarrier -net -p N [-alg tree|linear|dissemination|hybrid]
 //	             [-iters N] [-warmup N] [-probe-iters N] [-workers N]
 //	             [-adaptive K] [-profile-cache DIR] [-drift-tol F] [-ranks]
@@ -66,7 +69,6 @@ import (
 	"topobarrier/internal/sched"
 	"topobarrier/internal/telemetry"
 	"topobarrier/internal/topo"
-	"topobarrier/internal/trace"
 )
 
 func main() {
@@ -76,7 +78,6 @@ func main() {
 		placement = flag.String("placement", "round-robin", "rank placement (simulator mode)")
 		alg       = flag.String("alg", "mpi", "barrier: tree, linear, dissemination, mpi, hybrid")
 		seed      = flag.Uint64("seed", 1, "fabric noise seed (simulator mode)")
-		width     = flag.Int("width", 100, "gantt width in columns")
 
 		netRun     = flag.Bool("net", false, "validate against a real loopback TCP mesh instead of the simulator")
 		iters      = flag.Int("iters", 5, "traced barrier executions; observed times are per-cell minima (-net)")
@@ -91,7 +92,7 @@ func main() {
 		critPath   = flag.Bool("critical-path", false, "merge the last traced execution into one timeline and print its realized critical path, the predicted chain, and per-link blame (-net)")
 		netDead    = flag.Duration("net-deadline", 5*time.Second, "per-receive deadline on the mesh (-net)")
 		netDial    = flag.Duration("net-dial-timeout", 5*time.Second, "mesh formation budget (-net)")
-		traceOut   = flag.String("trace-out", "", "write the final traced execution as Chrome trace-event JSON (-net)")
+		traceOut   = flag.String("trace-out", "", "write the final traced execution as Chrome trace-event JSON")
 		transport  = flag.String("transport", "tcp", "mesh transport: tcp, or hybrid (shared-memory rings between co-located ranks) (-net)")
 		colocate   = flag.String("colocate", "", "co-location spec for -transport hybrid: \"nodes=K\" or rank groups \"0-3,4-7\"; default derives from -cluster/-placement (-net)")
 	)
@@ -115,7 +116,7 @@ func main() {
 		fatal(fmt.Errorf("-recommend judges a live mesh; it requires -net"))
 	}
 	if *critPath {
-		fatal(fmt.Errorf("-critical-path merges live mesh traces; it requires -net (the simulator prints its own measured path)"))
+		fatal(fmt.Errorf("-critical-path merges live mesh traces; it requires -net (the simulator always prints its critical path)"))
 	}
 
 	spec, err := topo.ClusterByName(*cluster)
@@ -131,16 +132,21 @@ func main() {
 		fatal(err)
 	}
 
-	var fn run.Func
+	// s is the executed schedule, stage for stage; the mpi baseline has none
+	// and gets no predicted chain.
+	var (
+		fn run.Func
+		s  *sched.Schedule
+	)
 	switch *alg {
 	case "mpi":
 		fn = baseline.Tree
 	case "tree":
-		fn = run.ScheduleFunc(sched.Tree(*p))
+		s = sched.Tree(*p)
 	case "linear":
-		fn = run.ScheduleFunc(sched.Linear(*p))
+		s = sched.Linear(*p)
 	case "dissemination":
-		fn = run.ScheduleFunc(sched.Dissemination(*p))
+		s = sched.Dissemination(*p)
 	case "hybrid":
 		cfg := probe.Default()
 		cfg.Replicate = true
@@ -148,41 +154,26 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fn = tuned.Func()
+		fn, s = tuned.Func(), tuned.Schedule().DropEmptyStages()
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q", *alg))
 	}
+	if fn == nil {
+		fn = run.ScheduleFunc(s)
+	}
 
-	w, rec := trace.NewTracedWorld(fab)
-	elapsed, err := trace.RunOnce(w, fn)
+	tl, elapsed, err := critpath.Simulate(fab, fn)
 	if err != nil {
 		fatal(err)
 	}
-
 	fmt.Printf("%s barrier, %d ranks on %s (%s): %.1fµs, %d messages\n\n",
-		*alg, *p, spec.Name, pl.Name(), elapsed*1e6, len(rec.Events))
-	fmt.Println(rec.Gantt(*p, *width))
-
-	fmt.Println("measured critical path:")
-	for _, e := range rec.CriticalPath() {
-		fmt.Printf("  %3d → %-3d sent %8.1fµs  arrived %8.1fµs  (%.1fµs)\n",
-			e.Src, e.Dst, e.Sent*1e6, e.Arrived*1e6, (e.Arrived-e.Sent)*1e6)
-	}
-
-	fmt.Println("\nslowest links observed:")
-	stats := rec.PerLink()
-	// Print the five worst by mean.
-	for n := 0; n < 5 && len(stats) > 0; n++ {
-		worst := 0
-		for i := range stats {
-			if stats[i].Mean > stats[worst].Mean {
-				worst = i
-			}
+		*alg, *p, spec.Name, pl.Name(), elapsed*1e6, len(tl.All))
+	fmt.Print(critpath.Analyze(tl, predict.New(fab.TrueProfile()), s))
+	if *traceOut != "" {
+		if err := telemetry.WriteChromeTraceEventsFile(*traceOut, tl.Events); err != nil {
+			fatal(err)
 		}
-		ls := stats[worst]
-		fmt.Printf("  %3d → %-3d %d msgs, mean %.1fµs, max %.1fµs\n",
-			ls.Src, ls.Dst, ls.Count, ls.Mean*1e6, ls.Max*1e6)
-		stats = append(stats[:worst], stats[worst+1:]...)
+		fmt.Printf("\nwrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
 	}
 }
 

@@ -3,20 +3,20 @@ package topobarrier
 import (
 	"net"
 	"time"
+
 	"topobarrier/internal/coll"
+	"topobarrier/internal/critpath"
 	"topobarrier/internal/library"
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/predict"
-
-	"topobarrier/internal/dynamic"
 	"topobarrier/internal/run"
 	"topobarrier/internal/search"
-	"topobarrier/internal/trace"
 )
 
 // This file exposes the extensions beyond the paper's core method: searched
-// schedules (§VII.B's wider space), dynamic re-tuning (§VIII), execution
-// tracing, one-shot measurement, and topology-aware collectives.
+// schedules (§VII.B's wider space), execution tracing, one-shot measurement,
+// and topology-aware collectives. Online re-tuning (§VIII) runs on live
+// meshes through internal/retune.
 
 // CongestionModel extends predictions with NIC serialisation (§VIII).
 type CongestionModel = predict.CongestionModel
@@ -42,50 +42,17 @@ func AnnealSearch(pd *Predictor, seed *Schedule, opts AnnealOptions) (*SearchRes
 	return search.Anneal(pd, seed, opts)
 }
 
-// Dynamic re-tuning (see internal/dynamic).
-type (
-	// DriftMonitor flags sustained cost drift against a baseline.
-	DriftMonitor = dynamic.Monitor
-	// Session manages a barrier across changing run-time conditions.
-	Session = dynamic.Session
-)
+// Tracing (see internal/critpath).
 
-// NewDriftMonitor returns a drift monitor.
-func NewDriftMonitor(baseline, factor float64, window int) (*DriftMonitor, error) {
-	return dynamic.NewMonitor(baseline, factor, window)
-}
+// TraceTimeline is the merged message-level view of one barrier execution,
+// simulated or on a live mesh: its CriticalPath, LinkBlame and Events (for
+// Chrome trace export) read the same way on either runtime.
+type TraceTimeline = critpath.Timeline
 
-// RetuneProfitable applies the §VIII amortisation criterion.
-func RetuneProfitable(observed, candidate, retuneOverhead float64, horizon int) bool {
-	return dynamic.Profitable(observed, candidate, retuneOverhead, horizon)
-}
-
-// NewSession tunes an initial barrier and returns a re-tuning session.
-func NewSession(w *World, probeCfg ProbeConfig, tuneOpts TuneOptions, retuneOverhead float64, horizon int) (*Session, error) {
-	return dynamic.NewSession(w, probeCfg, tuneOpts, retuneOverhead, horizon)
-}
-
-// RefineProfile folds traced message latencies into a profile (EMA).
-func RefineProfile(pf *Profile, rec *TraceRecorder, alpha float64) (int, error) {
-	return dynamic.RefineProfile(pf, rec, alpha)
-}
-
-// Tracing (see internal/trace).
-type (
-	// TraceRecorder collects delivered-message events.
-	TraceRecorder = trace.Recorder
-	// LinkStats summarises observed latencies per link.
-	LinkStats = trace.LinkStats
-)
-
-// NewTracedWorld wraps a fabric into a world with message recording.
-func NewTracedWorld(fab *Fabric, opts ...WorldOption) (*World, *TraceRecorder) {
-	return trace.NewTracedWorld(fab, opts...)
-}
-
-// RunTracedOnce drives one barrier execution on a traced world.
-func RunTracedOnce(w *World, b BarrierFunc) (float64, error) {
-	return trace.RunOnce(w, b)
+// TraceBarrier runs b once on a simulated world over fab and returns the
+// merged timeline of its messages and the elapsed virtual time.
+func TraceBarrier(fab *Fabric, b BarrierFunc) (*TraceTimeline, float64, error) {
+	return critpath.Simulate(fab, b)
 }
 
 // One-shot measurement (see internal/run).

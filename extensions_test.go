@@ -69,48 +69,26 @@ func TestPublicCollectives(t *testing.T) {
 	}
 }
 
-func TestPublicTracingAndRefinement(t *testing.T) {
+func TestPublicTraceBarrier(t *testing.T) {
 	fab, err := topobarrier.NewFabric(topobarrier.QuadCluster(), topobarrier.RoundRobin{}, 16, topobarrier.GigEParams(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, rec := topobarrier.NewTracedWorld(fab)
-	if _, err := topobarrier.RunTracedOnce(w, topobarrier.MPIBarrier); err != nil {
+	tl, elapsed, err := topobarrier.TraceBarrier(fab, topobarrier.MPIBarrier)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Events) == 0 {
-		t.Fatalf("no events recorded")
+	// A binomial tree over 16 ranks delivers 2·15 signals.
+	if len(tl.All) != 30 || len(tl.Events) != 60 {
+		t.Fatalf("traced %d messages from %d spans, want 30 from 60", len(tl.All), len(tl.Events))
 	}
-	if len(rec.CriticalPath()) == 0 {
+	if len(tl.CriticalPath()) == 0 {
 		t.Fatalf("no critical path")
 	}
-	prof := fab.TrueProfile()
-	n, err := topobarrier.RefineProfile(prof, rec, 0.3)
-	if err != nil || n == 0 {
-		t.Fatalf("refinement failed: n=%d err=%v", n, err)
+	if _, end := tl.Span(); end > elapsed+1e-9 {
+		t.Fatalf("message arrives at %g, after the run ended at %g", end, elapsed)
 	}
-}
-
-func TestPublicDriftSession(t *testing.T) {
-	if !topobarrier.RetuneProfitable(100e-6, 50e-6, 1e-3, 1000) {
-		t.Fatalf("profitability check wrong")
-	}
-	mon, err := topobarrier.NewDriftMonitor(100e-6, 1.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.Observe(200e-6)
-	if !mon.Observe(200e-6) {
-		t.Fatalf("drift not flagged")
-	}
-	w, _ := hexWorld(t, 12, 4)
-	cfg := topobarrier.DefaultProbe()
-	cfg.Replicate = true
-	sess, err := topobarrier.NewSession(w, cfg, topobarrier.TuneOptions{}, 1e-3, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Current() == nil {
-		t.Fatalf("no initial barrier")
+	if len(tl.LinkBlame(fab.TrueProfile())) == 0 {
+		t.Fatalf("no link blame")
 	}
 }

@@ -38,7 +38,9 @@ func Tree(c *mpi.Comm, tagBase int) {
 			c.Recv(me+bit, tagBase+e)
 		}
 	}
-	// Departure: mirror image, highest stage first.
+	// Departure: mirror image, highest stage first. Its tags continue the
+	// arrival's in execution order (tag offset top+d for the d-th departure
+	// step), so ordering messages by tag orders them in time.
 	top := 0
 	for (1 << uint(top)) < p {
 		top++
@@ -48,12 +50,13 @@ func Tree(c *mpi.Comm, tagBase int) {
 		if me&(bit-1) != 0 {
 			continue
 		}
+		tag := tagBase + top + (top - 1 - e)
 		if me&bit != 0 {
-			c.Recv(me-bit, tagBase+top+e)
+			c.Recv(me-bit, tag)
 			continue
 		}
 		if me+bit < p {
-			c.Send(me+bit, tagBase+top+e, 0)
+			c.Send(me+bit, tag, 0)
 		}
 	}
 }

@@ -103,3 +103,29 @@ func BenchmarkBaselineTree64(b *testing.B) {
 		}
 	}
 }
+
+// TestTreeTagsInExecutionOrder: every rank issues its tree messages in
+// increasing tag order, so ordering a traced run by stage orders it in time.
+func TestTreeTagsInExecutionOrder(t *testing.T) {
+	for _, p := range []int{3, 5, 8, 12, 16} {
+		f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastTag := make([]int, p)
+		for i := range lastTag {
+			lastTag[i] = -1
+		}
+		// Deliveries arrive in virtual-time order, and each rank's sends are
+		// blocking, so a rank's messages arrive in the order it sent them.
+		w := mpi.NewWorld(f, mpi.WithTracer(func(e mpi.TraceEvent) {
+			if e.Tag <= lastTag[e.Src] {
+				t.Errorf("p=%d: rank %d sent tag %d after tag %d", p, e.Src, e.Tag, lastTag[e.Src])
+			}
+			lastTag[e.Src] = e.Tag
+		}))
+		if _, err := w.Run(func(c *mpi.Comm) { Tree(c, 0) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

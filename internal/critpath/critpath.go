@@ -69,7 +69,8 @@ type Timeline struct {
 	P int
 	// Offsets[r] is the estimated clock offset of rank r relative to rank 0
 	// (seconds, subtracted from r's raw times); Estimated[r] says whether
-	// it came from a bidirectional exchange chain or defaulted to 0.
+	// it came from a bidirectional exchange chain or defaulted to 0. A
+	// simulated run shares one clock: every offset is 0 and known.
 	Offsets   []float64
 	Estimated []bool
 	// TagBase and Seq identify the selected barrier instance; Messages are
@@ -81,6 +82,8 @@ type Timeline struct {
 	// Unmatched counts send or recv spans with no partner in the window
 	// (messages cut in flight, or windows that split an exchange).
 	Unmatched int
+	// Events is the span window Merge read, for Chrome trace export.
+	Events []telemetry.SpanEvent
 
 	stages map[[2]int][]stageSpan // (rank, stage) → corrected spans, in window order
 }
@@ -107,6 +110,13 @@ type rawMsg struct {
 // completed or failed). Offset estimation and link blame always use every
 // matched message in the window regardless of the selection.
 func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
+	return merge(evs, p, tagBase, false)
+}
+
+// merge is Merge; with sharedClock every rank reads one clock (a simulated
+// run's virtual time), so offsets are exactly zero instead of estimated —
+// the NTP estimate would misread asymmetric link costs as clock skew.
+func merge(evs []telemetry.SpanEvent, p int, tagBase int, sharedClock bool) (*Timeline, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("critpath: non-positive rank count %d", p)
 	}
@@ -140,7 +150,7 @@ func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
 	// FIFO matching: both transports deliver per-link in order and the
 	// mailbox preserves it, so the k-th send on a key pairs with the k-th
 	// receive on it.
-	tl := &Timeline{P: p, stages: map[[2]int][]stageSpan{}}
+	tl := &Timeline{P: p, Events: evs, stages: map[[2]int][]stageSpan{}}
 	var raw []rawMsg
 	for k, ss := range sends {
 		rs := recvs[k]
@@ -167,7 +177,15 @@ func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
 			tl.Unmatched += len(rs) - n
 		}
 	}
-	tl.estimateOffsets(raw)
+	if sharedClock {
+		tl.Offsets = make([]float64, p)
+		tl.Estimated = make([]bool, p)
+		for r := range tl.Estimated {
+			tl.Estimated[r] = true
+		}
+	} else {
+		tl.estimateOffsets(raw)
+	}
 
 	// Correct times and group into barrier instances.
 	for _, m := range raw {

@@ -231,6 +231,38 @@ func TestCriticalPathLocalHop(t *testing.T) {
 	}
 }
 
+// TestCriticalPathWithoutStageSpans pins the walk on a window with message
+// spans only, as a simulated run produces: an arrival that predates the
+// rank's first send of the stage did not gate it, so the walk stays on the
+// rank and follows the earlier stage's arrival instead.
+func TestCriticalPathWithoutStageSpans(t *testing.T) {
+	var evs []telemetry.SpanEvent
+	evs = exchange(evs, 0, 1, 0, 0, 0, 0, 0, 5*us) // gates rank 1's stage 1
+	evs = exchange(evs, 2, 1, 1, 1, 0, 0, 0, us)   // lands before rank 1 enters stage 1
+	evs = exchange(evs, 1, 2, 1, 1, 5*us, 0, 5*us, 6*us)
+	evs = exchange(evs, 1, 3, 2, 2, 6*us, 0, 6*us, 7*us)
+	tl, err := Merge(evs, 4, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hops := tl.CriticalPath()
+	want := []Hop{
+		{Stage: 0, From: 0, To: 1, Sent: 0, Arrived: 5e-6},
+		{Stage: 1, From: 1, To: 1, Sent: 5e-6, Arrived: 6e-6},
+		{Stage: 2, From: 1, To: 3, Sent: 6e-6, Arrived: 7e-6},
+	}
+	if len(hops) != len(want) {
+		t.Fatalf("path %v, want %v", hops, want)
+	}
+	for i, h := range hops {
+		w := want[i]
+		if h.Stage != w.Stage || h.From != w.From || h.To != w.To ||
+			math.Abs(h.Sent-w.Sent) > 1e-12 || math.Abs(h.Arrived-w.Arrived) > 1e-12 {
+			t.Errorf("hop %d = %v, want %v", i, h, w)
+		}
+	}
+}
+
 // uniformProfile builds a profile with O=o and L=l on every off-diagonal
 // direction.
 func uniformProfile(p int, o, l float64) *profile.Profile {

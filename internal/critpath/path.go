@@ -88,6 +88,7 @@ func (tl *Timeline) CriticalPath() []Hop {
 
 	var rev []Hop
 	r := rank
+	at := end // when the chain leaves r: the start of the hop after stage k
 	for k := maxStage; k >= 0; k-- {
 		var best, bestSend *Message
 		for i := range tl.Messages {
@@ -101,7 +102,17 @@ func (tl *Timeline) CriticalPath() []Hop {
 			}
 		}
 		stStart, stEnd, stOK := tl.stageInterval(r, k)
-		const eps = 1e-7
+		slack, entered := 1e-7, stOK
+		if !stOK {
+			// No stage span: a simulated run records none, nor does an idle
+			// stage on a mesh. Bound the entry instead, exactly (no slack):
+			// the local hop then lasts until the chain leaves the rank.
+			stStart, entered = tl.entryBound(r, k)
+			stEnd, slack = at, 0
+			if !entered {
+				stStart = at
+			}
+		}
 		// An eager send that blocked far longer than the rank then waited in
 		// its receive is the stage's real stall: sends complete synchronously,
 		// so outbound backpressure (or an injected link delay) shows up as a
@@ -121,27 +132,46 @@ func (tl *Timeline) CriticalPath() []Hop {
 					Stage: k, From: r, To: bestSend.Dst, Transport: bestSend.Transport,
 					Sent: bestSend.SendStart, Arrived: bestSend.Sent, Blocked: true,
 				})
+				at = bestSend.SendStart
 				continue
 			}
 		}
-		if best != nil && (!stOK || best.Arrived > stStart+eps) {
+		if best != nil && (!entered || best.Arrived > stStart+slack) {
 			rev = append(rev, Hop{
 				Stage: k, From: best.Src, To: r, Transport: best.Transport,
 				Sent: best.SendStart, Arrived: best.Arrived, Wait: best.Wait,
 			})
 			r = best.Src
+			at = best.SendStart
 			continue
 		}
-		if !stOK {
-			stStart, stEnd = math.NaN(), math.NaN()
-		}
 		rev = append(rev, Hop{Stage: k, From: r, To: r, Sent: stStart, Arrived: stEnd})
+		at = stStart
 	}
 	out := make([]Hop, len(rev))
 	for i, h := range rev {
 		out[len(rev)-1-i] = h
 	}
 	return out
+}
+
+// entryBound bounds from below when rank entered stage k, for a rank without
+// a stage span: a rank issues a stage's sends on entering it, and enters only
+// after its arrivals of earlier stages. False when it has neither.
+func (tl *Timeline) entryBound(rank, k int) (float64, bool) {
+	first, last := math.Inf(1), math.Inf(-1)
+	for _, m := range tl.Messages {
+		if m.Src == rank && m.Stage == k && m.SendStart < first {
+			first = m.SendStart
+		}
+		if m.Dst == rank && m.Stage < k && m.Arrived > last {
+			last = m.Arrived
+		}
+	}
+	if !math.IsInf(first, 1) {
+		return first, true
+	}
+	return last, !math.IsInf(last, -1)
 }
 
 // Span returns the realized makespan of the selected barrier instance: from

@@ -479,7 +479,7 @@ func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, 
 			rep.Samples[d.i][d.j] = d.r.n
 			old := cached.O.At(d.i, d.j) + cached.L.At(d.i, d.j)
 			fresh := d.r.o + d.r.l
-			if relDrift(old, fresh) > driftTol {
+			if RelDrift(old, fresh) > driftTol {
 				stale = append(stale, staleDir{d.i, d.j, d.r})
 			}
 		}
@@ -514,13 +514,14 @@ func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, 
 	return cached, rep, true, nil
 }
 
-// relDrift is the relative distance between a cached and a fresh cost,
+// RelDrift is the relative distance between a cached and a fresh cost,
 // normalised by the smaller of the two. Normalising by the cached value alone
 // would saturate at 1 when the cache is too high (|fresh−old|/old < 1 for any
 // fresh < old), making large tolerances blind to exactly the stale entries
 // they should catch; the symmetric form grows without bound in both
-// directions.
-func relDrift(old, fresh float64) float64 {
+// directions. The retune controller judges observed against predicted
+// barrier time with the same distance.
+func RelDrift(old, fresh float64) float64 {
 	if old <= 0 || fresh <= 0 {
 		if old == fresh {
 			return 0

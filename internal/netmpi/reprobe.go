@@ -39,7 +39,7 @@ type ReprobeReport struct {
 // mesh instead of one sampled round. Phase one screens every direction with
 // a two-sample probe (edge-colored rounds, so it costs ~2(P−1) parallel
 // slots) and compares the observed round-trip cost against the profile's
-// O+L under relDrift. Phase two re-probes only the drifted directions with
+// O+L under RelDrift. Phase two re-probes only the drifted directions with
 // the caller's full adaptive options and patches pf in place (including the
 // O[i][i] diagonal fold). Directions within tolerance keep their existing
 // entries untouched.
@@ -82,7 +82,7 @@ func ReprobeStale(peers []*Peer, pf *profile.Profile, opts ProbeOptions, driftTo
 				rep.Screened++
 				rep.ScreenSamples += f.r.n
 				old := pf.O.At(f.d.From, f.d.To) + pf.L.At(f.d.From, f.d.To)
-				if relDrift(old, f.r.o+f.r.l) > driftTol {
+				if RelDrift(old, f.r.o+f.r.l) > driftTol {
 					stale = append(stale, f)
 				}
 			}
@@ -146,7 +146,7 @@ func ReprobeDirections(peers []*Peer, pf *profile.Profile, opts ProbeOptions, dr
 		rep.Screened++
 		rep.ScreenSamples += r.n
 		old := pf.O.At(d.From, d.To) + pf.L.At(d.From, d.To)
-		if relDrift(old, r.o+r.l) > driftTol {
+		if RelDrift(old, r.o+r.l) > driftTol {
 			stale = append(stale, freshDir{d, r})
 		}
 	}

@@ -247,19 +247,6 @@ func (c *Controller) observe() (mean float64, minFresh int64) {
 	return mean, minFresh
 }
 
-// relDrift mirrors the probe cache's symmetric relative distance: |a−b|
-// normalised by the smaller of the two, unbounded in both directions.
-func relDrift(a, b float64) float64 {
-	if a <= 0 || b <= 0 {
-		if a == b {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	d := math.Abs(a - b)
-	return d / math.Min(a, b)
-}
-
 // Check runs one pass of the loop: observe, judge drift, and — when
 // triggered — re-probe, re-search, and propose. It is cheap when nothing
 // drifted (a handful of histogram reads) and never blocks barrier traffic:
@@ -293,7 +280,7 @@ func (c *Controller) Check() (Decision, error) {
 	}
 	d.Checked = true
 	d.Observed = observed
-	d.Drift = relDrift(c.predicted, observed)
+	d.Drift = netmpi.RelDrift(c.predicted, observed)
 	c.driftGauge.Set(d.Drift)
 	if d.Drift <= c.opts.DriftTol {
 		// The window was consumed quietly; cut the matching flight window so

@@ -82,6 +82,12 @@ func NewPlan(s *sched.Schedule) (*Plan, error) {
 	if !s.IsBarrier() {
 		return nil, fmt.Errorf("run: schedule %q does not globally synchronise", s.Name)
 	}
+	return compile(s, nil)
+}
+
+// compile flattens the schedule's non-empty stages into per-rank stage
+// lists. A non-nil inGroup restricts every signal to group members.
+func compile(s *sched.Schedule, inGroup []bool) (*Plan, error) {
 	clean := s.DropEmptyStages()
 	pl := &Plan{Name: s.Name, P: s.P, Stages: clean.NumStages(), ops: make([][]rankStage, s.P)}
 	for k, st := range clean.Stages {
@@ -90,6 +96,16 @@ func NewPlan(s *sched.Schedule) (*Plan, error) {
 			sends := st.Row(r)
 			if len(recvs) == 0 && len(sends) == 0 {
 				continue
+			}
+			if inGroup != nil {
+				if !inGroup[r] {
+					return nil, fmt.Errorf("run: schedule %q involves non-member rank %d", s.Name, r)
+				}
+				for _, peer := range append(append([]int(nil), recvs...), sends...) {
+					if !inGroup[peer] {
+						return nil, fmt.Errorf("run: schedule %q signals non-member rank %d", s.Name, peer)
+					}
+				}
 			}
 			pl.ops[r] = append(pl.ops[r], rankStage{stage: k, recvs: recvs, sends: sends})
 		}
@@ -237,27 +253,7 @@ func NewGroupPlan(s *sched.Schedule, members []int) (*Plan, error) {
 	for _, m := range members {
 		inGroup[m] = true
 	}
-	clean := s.DropEmptyStages()
-	pl := &Plan{Name: s.Name, P: s.P, Stages: clean.NumStages(), ops: make([][]rankStage, s.P)}
-	for k, st := range clean.Stages {
-		for r := 0; r < s.P; r++ {
-			recvs := st.Col(r)
-			sends := st.Row(r)
-			if len(recvs) == 0 && len(sends) == 0 {
-				continue
-			}
-			if !inGroup[r] {
-				return nil, fmt.Errorf("run: schedule %q involves non-member rank %d", s.Name, r)
-			}
-			for _, peer := range append(append([]int(nil), recvs...), sends...) {
-				if !inGroup[peer] {
-					return nil, fmt.Errorf("run: schedule %q signals non-member rank %d", s.Name, peer)
-				}
-			}
-			pl.ops[r] = append(pl.ops[r], rankStage{stage: k, recvs: recvs, sends: sends})
-		}
-	}
-	return pl, nil
+	return compile(s, inGroup)
 }
 
 // StageOps is one rank's work in one stage of a compiled plan.

@@ -255,11 +255,17 @@ func WriteChromeTraceEvents(w io.Writer, evs []SpanEvent) error {
 
 // WriteChromeTraceFile writes the Chrome trace JSON to the given path.
 func (t *Tracer) WriteChromeTraceFile(path string) error {
+	return WriteChromeTraceEventsFile(path, t.Events())
+}
+
+// WriteChromeTraceEventsFile writes an explicit event slice as Chrome trace
+// JSON to the given path.
+func WriteChromeTraceEventsFile(path string, evs []SpanEvent) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := t.WriteChromeTrace(f); err != nil {
+	if err := WriteChromeTraceEvents(f, evs); err != nil {
 		f.Close()
 		return fmt.Errorf("telemetry: writing trace %s: %w", path, err)
 	}
